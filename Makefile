@@ -1,7 +1,7 @@
 GO ?= go
 VET_BIN := bin/divtopk-vet
 
-.PHONY: all build test race bench lint lint-custom vet-tool clean
+.PHONY: all build test race bench bench-smoke lint lint-custom vet-tool clean
 
 all: build lint test
 
@@ -19,6 +19,15 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench Baseline -benchmem -benchtime 1x ./internal/bench/
+
+# bench-smoke runs the repository benchmark's smoke test: both perfbench
+# workloads at toy size against a freshly built divtopkd, every declared
+# metric printed with its unit, and a corrupted expected answer rejected.
+# perfbench is a nested module that imports the root API and internal
+# packages, so the root ./... patterns never build it — a root change can
+# break the benchmark unnoticed unless this target runs.
+bench-smoke:
+	cd perfbench && $(GO) test .
 
 # vet-tool builds the custom analyzer suite. tools/vet is a nested module
 # (so the root module stays dependency-free), hence the cd: the root

@@ -9,8 +9,9 @@ package divtopk
 //
 //	go test -bench=. -benchmem
 //
-// regenerates every number of EXPERIMENTS.md at the small scale (use
-// cmd/experiments -scale medium for the recorded tables).
+// regenerates every number of the paper's evaluation at the small scale
+// (`go run ./cmd/experiments -figure all` prints the same tables with the
+// paper's expected shape beside them; add -scale medium for larger graphs).
 
 import (
 	"strings"

@@ -2,6 +2,7 @@ package divtopk
 
 import (
 	"bytes"
+	"maps"
 	"sync"
 
 	"divtopk/internal/core"
@@ -22,6 +23,23 @@ import (
 // eviction past the work-share ratio (WithCacheAdvanceRatio) — and re-admits
 // each cached entry under its post-delta key, so the first post-commit query
 // for a hot pattern is a cache hit instead of a cold evaluation.
+//
+// An entry is re-evaluated only when the delta reaches its inputs. The
+// early-termination run (§4, Proposition 3) reads the candidate product
+// graph and the initial upper bounds h(uo,v); the full-evaluation family
+// reads the product alone. So an entry is carried over unchanged, with no
+// re-evaluation, when both of these hold:
+//
+//   - IncCompute touched no candidate pair (IncStats.TouchedPairs == 0).
+//     Candidacy depends only on labels and attributes, so this also admits
+//     appended nodes that match no pattern node.
+//   - For engine entries whose bounds come from the bound index (label-count
+//     and loose modes), the old and new index rows are equal at every
+//     v ∈ can(uo) for every descendant label of uo (core.UpperBoundsEqual).
+//     Tight bounds derive from the product and need only the first test.
+//
+// Everything else re-runs seeded with the advanced state. Carried entries
+// still install through PutAdvanced; CacheStats counts them as Carried.
 //
 // Admission is containment-aware: when a new pattern's nodes are subsumed by
 // a maintained pattern's (pattern.CondSubsumes — same label, subset
@@ -72,8 +90,7 @@ type descriptor struct {
 	// full marks the full-evaluation family (WithBaseline / WithApproximation):
 	// a pure function of the candidate index, product and fixpoint, so an
 	// unchanged state means an unchanged value. The early-termination family
-	// additionally depends on the bound index rows, so it is always re-run
-	// (seeded with the advanced state) after a commit.
+	// additionally reads the initial upper bounds h(uo,v).
 	full bool
 	// val is the cached facade value at the state's version; base, for the
 	// full family, the core-level match pool behind it — the input of the
@@ -91,6 +108,8 @@ type putEntry struct {
 	lambda float64
 	o      options
 	val    any
+	// carried marks a value reused from the previous version unevaluated.
+	carried bool
 }
 
 func patternText(p *Pattern) (string, error) {
@@ -327,7 +346,9 @@ func poolEqual(a, b *core.Result) bool {
 // holding updateMu — has applied merged to it but not yet published it).
 // States whose incremental advance trips the work-share ratio are evicted
 // instead (IncOptions.NoFallback): a commit never pays a full rebuild for
-// the cache's sake. Nothing is published here: the returned install function
+// the cache's sake. Entries the delta cannot have changed are carried over
+// without re-evaluation (see the carry rule at the top of this file).
+// Nothing is published here: the returned install function
 // swaps the advanced states in and admits the advanced entries under their
 // post-delta keys, and the caller runs it only after the commit's last
 // fallible step — entries for a version that is never published must never
@@ -337,10 +358,17 @@ func (m *Matcher) advanceWarm(g2 *Graph, merged *graph.Delta) func() {
 		return func() {}
 	}
 	gOld := m.cur.Load() // pre-delta snapshot: publication happens after us
+	// Queries at gOld keep registering descriptors and bumping use ticks
+	// under mu while this pass runs, so both are copied under the lock too.
+	type snap struct {
+		st    *patternState
+		descs map[string]*descriptor
+		used  uint64
+	}
 	m.warm.mu.Lock()
-	states := make([]*patternState, 0, len(m.warm.states))
+	states := make([]snap, 0, len(m.warm.states))
 	for _, st := range m.warm.states {
-		states = append(states, st)
+		states = append(states, snap{st, maps.Clone(st.descs), st.used})
 	}
 	m.warm.mu.Unlock()
 	if len(states) == 0 {
@@ -358,12 +386,14 @@ func (m *Matcher) advanceWarm(g2 *Graph, merged *graph.Delta) func() {
 		evicted uint64
 	)
 	noAppends := len(merged.NodeAppends) == 0
+	boundsOld, boundsNew := gOld.boundsCache(), g2.boundsCache()
 	incOpts := simulation.IncOptions{
 		Workers:        m.workers,
 		RecomputeRatio: m.advanceRatio,
 		NoFallback:     true,
 	}
-	for _, st := range states {
+	for _, sn := range states {
+		st := sn.st
 		if st.inc.G != gOld.g {
 			// Left behind by an earlier commit (admission race): unadvanceable.
 			drops, evicted = append(drops, st), evicted+1
@@ -375,20 +405,27 @@ func (m *Matcher) advanceWarm(g2 *Graph, merged *graph.Delta) func() {
 			continue
 		}
 		// An untouched state (no candidate pair's adjacency changed, no
-		// appended nodes) is byte-identical to the old one, so full-family
-		// values carry over without any re-evaluation.
-		unchanged := noAppends && ist.TouchedPairs == 0
+		// appended candidate) has the old candidate lists, product and
+		// fixpoint, so full-family values carry over without re-evaluation.
+		// Engine values additionally need equal initial upper bounds: tight
+		// bounds derive from the product alone; index bounds from the bound
+		// index rows at every v ∈ can(uo).
+		untouched := ist.TouchedPairs == 0
+		sameBounds := untouched && core.UpperBoundsEqual(boundsOld, boundsNew,
+			pattern.Analyze(st.p.p).DescLabels, inc2.CI.Lists[st.p.p.Output()])
 		st2 := &patternState{
 			text: st.text, p: st.p, inc: inc2,
-			descs: make(map[string]*descriptor, len(st.descs)),
-			used:  st.used,
+			descs: make(map[string]*descriptor, len(sn.descs)),
+			used:  sn.used,
 		}
-		for id, d := range st.descs {
+		for id, d := range sn.descs {
 			var (
 				val  any
 				base *core.Result
 			)
-			if d.full && unchanged {
+			o := buildOptions(d.opts)
+			carry := untouched && (d.full || o.engine.Bounds == core.BoundTight || sameBounds)
+			if carry {
 				val, base = d.val, d.base
 			} else {
 				val, base, err = m.evalWarm(g2, st.p, inc2, d, d, noAppends)
@@ -402,7 +439,7 @@ func (m *Matcher) advanceWarm(g2 *Graph, merged *graph.Delta) func() {
 			}
 			puts = append(puts, putEntry{
 				kind: d.kind, p: st.p, k: d.k, lambda: d.lambda,
-				o: buildOptions(d.opts), val: val,
+				o: o, val: val, carried: carry,
 			})
 		}
 		swaps = append(swaps, swap{old: st, new: st2})
@@ -426,12 +463,19 @@ func (m *Matcher) advanceWarm(g2 *Graph, merged *graph.Delta) func() {
 		// exactly as if they had been invalidated — except their successors
 		// are already warm.
 		ver := g2.Version()
+		var carried uint64
 		for _, pe := range puts {
 			key, err := queryKey(pe.kind, ver, pe.p, pe.k, pe.lambda, pe.o)
 			if err != nil {
 				continue
 			}
 			m.cache.PutAdvanced(key, pe.val)
+			if pe.carried {
+				carried++
+			}
+		}
+		if carried > 0 {
+			m.cache.AddCarried(carried)
 		}
 		if evicted > 0 {
 			m.advanceEvicted.Add(evicted)

@@ -6,8 +6,8 @@
 //
 //	experiments [-scale small|medium] [-figure all|fig4|fig5a|...|lambda|ablation-bounds|ablation-shape]
 //
-// Run with -figure all (the default) to reproduce everything; see
-// EXPERIMENTS.md for a recorded run and the paper-vs-measured comparison.
+// Run with -figure all (the default) to reproduce everything; each table
+// prints the paper's expected shape ("paper: ...") beside the measured rows.
 package main
 
 import (

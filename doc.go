@@ -125,14 +125,20 @@
 // cached results from it, installing them under the new version's keys, so
 // the first post-commit query is a hit that reports provenance "advanced"
 // (TopKInfo/TopKDiversifiedInfo, and the daemon's "cache" response field)
-// rather than a cold evaluation. Past a work-share ratio
+// rather than a cold evaluation. An entry is re-derived only when the delta
+// reaches its inputs: it is carried over unchanged when IncCompute touched
+// none of its candidate pairs and, for engine entries bounded by the index
+// (label-count and loose bounds), the advanced index rows equal the old ones
+// at every output candidate for every descendant label of the output node.
+// Tight-bound and full-evaluation entries read only the product and need
+// the first condition alone. Past a work-share ratio
 // (WithCacheAdvanceRatio, default 0.25) the pass evicts instead — the knob
 // trades commit latency against post-commit query latency and never changes
 // answers. Admission is containment-aware: a pattern whose node conditions
 // are subsumed by a cached pattern's nodes (same label, predicate subset)
 // seeds its candidate lists from the cached superset's maintained lists and
-// reports "seeded". CacheStats counts advanced, seeded and advance-evicted
-// entries; a randomized delta-chain fuzz pins every warm answer
+// reports "seeded". CacheStats counts advanced, carried, seeded and
+// advance-evicted entries; a randomized delta-chain fuzz pins every warm answer
 // byte-identical to a never-cached session at every version. See the
 // README's "Warm cache" section.
 //
@@ -206,6 +212,7 @@
 //	go build ./... && go test ./...
 //
 // See the examples/ directory for runnable end-to-end scenarios, README.md
-// for an overview, DESIGN.md for the architecture, and EXPERIMENTS.md for
-// the reproduction of the paper's evaluation.
+// for an overview, the package documentation of internal/core for the
+// engine's architecture, and `go run ./cmd/experiments -figure all` for the
+// reproduction of the paper's evaluation.
 package divtopk

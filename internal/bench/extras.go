@@ -38,8 +38,8 @@ func Lambda(sc Scale) *Figure {
 	return f
 }
 
-// AblationBounds compares the three upper-bound index modes (DESIGN.md
-// §2.3): the tight candidate-product bound against the label-count and
+// AblationBounds compares the three upper-bound index modes (core.BoundMode):
+// the tight candidate-product bound against the label-count and
 // cheap descendant-sum bounds, in examined matches (MR) and time.
 func AblationBounds(sc Scale) *Figure {
 	d := newDatasets(sc)
@@ -221,7 +221,8 @@ func relSubgraphSize(g *graph.Graph, res *core.Result, m core.Match) int {
 // neighborhoods and MR settles near its 40-45%; at the ~100× smaller scales
 // this harness runs, one batch of leaf feeding supports most candidates and
 // MR saturates — this figure documents that trend honestly so the Fig. 5a-c
-// absolute values can be read in context (see EXPERIMENTS.md).
+// absolute values can be read in context (cmd/experiments -figure all
+// prints it last).
 func MRScale(sc Scale) *Figure {
 	d := newDatasets(sc)
 	f := &Figure{

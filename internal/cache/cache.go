@@ -17,14 +17,16 @@ import (
 // counts callers that piggybacked on an evaluation already in flight and
 // Hits counts callers served from a stored entry. Hits + Misses + Coalesced
 // equals the number of Do/DoStatus calls. Advanced counts entries installed
-// by the commit-time advance pass (PutAdvanced); Seeded counts admitted
-// evaluations that reported containment seeding.
+// by the commit-time advance pass (PutAdvanced); Carried counts the subset
+// of those the pass carried over without re-evaluation (AddCarried); Seeded
+// counts admitted evaluations that reported containment seeding.
 type Stats struct {
 	Hits      uint64
 	Misses    uint64
 	Coalesced uint64
 	Evictions uint64
 	Advanced  uint64
+	Carried   uint64
 	Seeded    uint64
 	Entries   int
 }
@@ -176,6 +178,15 @@ func (c *Cache) PutAdvanced(key string, val any) {
 	c.mu.Lock()
 	c.stats.Advanced++
 	c.store(key, val, true)
+	c.mu.Unlock()
+}
+
+// AddCarried counts n advanced entries whose value the commit-time advance
+// pass carried over from the previous version instead of re-evaluating. The
+// entries themselves are installed through PutAdvanced.
+func (c *Cache) AddCarried(n uint64) {
+	c.mu.Lock()
+	c.stats.Carried += n
 	c.mu.Unlock()
 }
 

@@ -127,6 +127,43 @@ func (c *BoundsCache) RowsEqual(other *BoundsCache) error {
 	return nil
 }
 
+// UpperBoundsEqual reports whether the initial upper bounds that the two
+// caches give are equal for the listed nodes: for every label name, both
+// caches hold a warm row and the rows agree at every node. It is the
+// warm-cache carry test (old is a snapshot's cache, cur the cache Advance
+// derived from it), so it is conservative and never fills anything — a
+// label that is cold, or absent from the snapshot's dictionary, on either
+// side counts as changed. A row slice Advance shared verbatim is equal
+// without a scan. nodes must be rows of both snapshots.
+func UpperBoundsEqual(old, cur *BoundsCache, labels []string, nodes []graph.NodeID) bool {
+	row := func(c *BoundsCache, name string) ([]int32, bool) {
+		id, ok := c.g.Dict().ID(name)
+		if !ok {
+			return nil, false
+		}
+		c.mu.RLock()
+		defer c.mu.RUnlock()
+		r, ok := c.counts[id]
+		return r, ok
+	}
+	for _, name := range labels {
+		a, okA := row(old, name)
+		b, okB := row(cur, name)
+		if !okA || !okB {
+			return false
+		}
+		if len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) {
+			continue
+		}
+		for _, v := range nodes {
+			if a[v] != b[v] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Advance derives the bound index of gNew from this cache without touching
 // it: gNew must be a successor of the cache's snapshot in one update
 // lineage — typically the immediate next version, or several versions ahead

@@ -284,3 +284,63 @@ func TestBoundsAdvanceConcurrentWithReads(t *testing.T) {
 	oracle.Warm(nil)
 	assertCachesEqual(t, "concurrent advance", nc, oracle)
 }
+
+// TestUpperBoundsEqual pins the warm-cache carry test's conservative cases:
+// rows Advance shared are equal, a change at a listed node is not, a change
+// elsewhere is ignored, and a label that is cold or absent on either side
+// counts as changed.
+func TestUpperBoundsEqual(t *testing.T) {
+	b := graph.NewBuilder()
+	a0, a1 := b.AddNode("A", nil), b.AddNode("A", nil)
+	b0, b1 := b.AddNode("B", nil), b.AddNode("B", nil)
+	x0, x1 := b.AddNode("X", nil), b.AddNode("X", nil)
+	for _, e := range [][2]graph.NodeID{{a0, b0}, {a1, x0}} {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.Build()
+	old := NewBoundsCache(g, true)
+	old.Warm(nil)
+	advance := func(d *graph.Delta) *BoundsCache {
+		t.Helper()
+		g2, sum, err := graph.ApplyDeltaWithSummary(g, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, _, err := old.Advance(g2, sum, AdvanceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	can := []graph.NodeID{a0, a1}
+
+	// x1 -> b1 changes only x1's B row; no A node reaches x1.
+	var d graph.Delta
+	d.InsertEdge(x1, b1)
+	cur := advance(&d)
+	if !UpperBoundsEqual(old, cur, []string{"A", "B"}, can) {
+		t.Error("rows unchanged at can(uo) reported as changed")
+	}
+	if UpperBoundsEqual(old, cur, []string{"B"}, []graph.NodeID{x1}) {
+		t.Error("changed row at a listed node reported as equal")
+	}
+	if UpperBoundsEqual(old, cur, []string{"Z"}, can) {
+		t.Error("label absent from both dictionaries reported as equal")
+	}
+
+	// x0 -> b1 gives a1 a second B descendant.
+	d = graph.Delta{}
+	d.InsertEdge(x0, b1)
+	if UpperBoundsEqual(old, advance(&d), []string{"B"}, can) {
+		t.Error("a1's raised B count reported as equal")
+	}
+
+	// A label the delta introduces stays cold in the advanced cache.
+	d = graph.Delta{}
+	d.AddNode("Z", nil)
+	if UpperBoundsEqual(old, advance(&d), []string{"Z"}, can) {
+		t.Error("label cold on one side reported as equal")
+	}
+}

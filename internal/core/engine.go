@@ -15,8 +15,8 @@ const (
 )
 
 // engine is the incremental propagation machine shared by TopK, TopKDAG,
-// their nopt variants and TopKDH. See DESIGN.md §3 for the architecture and
-// the soundness argument of each counter.
+// their nopt variants and TopKDH. The comments below give the role of each
+// counter.
 //
 // Per candidate pair (u,v) it tracks:
 //
@@ -28,7 +28,7 @@ const (
 //   - unfinCnt[slot]: not-yet-finalized successors per edge. An edge whose
 //     unfinCnt reaches 0 with satCnt = 0 resolves the disjunction to false
 //     and kills the pair — the lazy false-resolution of the paper's formula
-//     semantics (no eager refinement at init; see DESIGN.md).
+//     semantics (no eager refinement at init; see newEngine).
 //   - rset: the partial relevant set over the relevance universe, grown
 //     monotonically toward R(u,v); maintained only for pairs whose query
 //     node is the output node or one of its descendants.

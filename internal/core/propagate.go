@@ -114,7 +114,7 @@ func (e *engine) processFinalized(q int32) {
 		nontrivial := e.unitNontrivial[upUnit]
 		if nontrivial && upUnit != unit {
 			// Outstanding counts cross-unit successor finalizations of
-			// all unit pairs, dead or alive (see DESIGN.md §3).
+			// all unit pairs, dead or alive (see engine.unitOutstanding).
 			e.outstandingDec(upUnit)
 		}
 		if e.status[qp] == statusDead {

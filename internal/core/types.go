@@ -2,7 +2,8 @@
 // early-termination top-k matching algorithms of §4 (TopKDAG for DAG
 // patterns, TopK for cyclic patterns, and their non-optimized variants
 // TopKDAGnopt/TopKnopt), plus the find-all baseline Match they are compared
-// against, all over one incremental propagation engine (see DESIGN.md §3).
+// against, all over one incremental propagation engine (see the engine type
+// in engine.go).
 //
 // Given a pattern Q with output node uo, a graph G and k, the engine feeds
 // batches of leaf candidates, propagates match status and relevant sets
@@ -51,7 +52,7 @@ type BoundMode int
 const (
 	// BoundTight counts reachability over the candidate product graph —
 	// the semantics that reproduces the h values of the paper's Examples 7
-	// and 8 (see DESIGN.md §2.3).
+	// and 8 (see computeUpperBounds in bounds.go).
 	BoundTight BoundMode = iota
 	// BoundLabelCount uses exact label-filtered descendant counts in G:
 	// cheaper to compute, looser (it ignores the pattern's path structure).

@@ -196,6 +196,23 @@ func TestUpdateEndpointAndVersionedInvalidation(t *testing.T) {
 	if len(list.Graphs) != 1 || list.Graphs[0].Version != 1 {
 		t.Fatalf("/v1/graphs = %+v, want version 1", list.Graphs)
 	}
+
+	// A node whose label no pattern node has adds no candidate: the commit
+	// carries the hot entry over without re-evaluating it, and /v1/graphs
+	// counts it as both advanced and carried.
+	before := graphStats(t, ts.URL, "dyn")
+	status, body = post(t, ts.URL+"/v1/graphs/dyn/updates", server.UpdateRequest{
+		AddNodes: []server.UpdateNode{{Label: "label-outside-every-pattern"}},
+	})
+	if status != http.StatusOK {
+		t.Fatalf("second update status %d: %s", status, body)
+	}
+	if sc := graphStats(t, ts.URL, "dyn"); sc.Advanced != before.Advanced+1 || sc.Carried != before.Carried+1 {
+		t.Fatalf("after a delta outside the pattern: %+v, want advanced and carried one above %+v", sc, before)
+	}
+	if r4, _ := query(); r4.Cache != "advanced" || r4.Version != 2 {
+		t.Fatalf("carried entry served as %q at version %d, want advanced at 2", r4.Cache, r4.Version)
+	}
 }
 
 // TestUpdateEndpointErrors covers the structured failures of the updates

@@ -139,9 +139,9 @@ func TestCandidateProductUpperBoundExamples(t *testing.T) {
 	// Example 8 prints PM2.h = 7; the candidate-product bound gives 8
 	// (R̂(PM,PM2) = {DB2,DB3,PRG2,PRG3,PRG4,ST2,ST3,ST4}). Every other h in
 	// Examples 7-8 reproduces exactly; we treat the 7 as a typo for 8 and
-	// pin the sound value here (see DESIGN.md §6).
+	// pin the sound value here (core.BoundTight documents the semantics).
 	if got := relPMq.Sizes[ci2.Pair(0, id["PM2"])-loPM]; got != 8 {
-		t.Errorf("ĥ(PM,PM2) = %d, want 8 (paper prints 7; see DESIGN.md)", got)
+		t.Errorf("ĥ(PM,PM2) = %d, want 8 (paper prints 7, a typo: the product bound is 8)", got)
 	}
 }
 

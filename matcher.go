@@ -59,17 +59,20 @@ type Matcher struct {
 // counts actual engine evaluations; Coalesced counts queries that shared an
 // in-flight evaluation (singleflight); Hits counts queries served from a
 // stored entry. Advanced counts entries the commit-time advance pass
-// installed, Seeded counts evaluations whose candidate lists were
-// containment-seeded from a cached superset pattern, and AdvanceEvicted
-// counts maintained pattern states the advance pass evicted instead of
-// advancing (work share above the ratio). All counters are zero for a
-// Matcher built without WithCache.
+// installed; Carried counts the part of them it carried over unchanged
+// because the delta reached neither their candidate pairs nor, for
+// index-bounded engine entries, their bound rows. Seeded counts evaluations
+// whose candidate lists were containment-seeded from a cached superset
+// pattern, and AdvanceEvicted counts maintained pattern states the advance
+// pass evicted instead of advancing (work share above the ratio). All
+// counters are zero for a Matcher built without WithCache.
 type CacheStats struct {
 	Hits           uint64 `json:"hits"`
 	Misses         uint64 `json:"misses"`
 	Coalesced      uint64 `json:"coalesced"`
 	Evictions      uint64 `json:"evictions"`
 	Advanced       uint64 `json:"advanced"`
+	Carried        uint64 `json:"carried"`
 	Seeded         uint64 `json:"seeded"`
 	AdvanceEvicted uint64 `json:"advance_evicted"`
 	Entries        int    `json:"entries"`
@@ -247,10 +250,13 @@ func (m *Matcher) commitLocked(merged *graph.Delta, parts []*Delta) (*Graph, Ind
 	// The warm result cache advances with the same off-to-the-side
 	// discipline as the bound index: maintained per-pattern states are
 	// carried to g2 by delta-proportional IncCompute (or evicted past the
-	// work-share ratio) and each cached entry is recomputed from the
-	// advanced state — but nothing is installed until the commit is past its
-	// last fallible step, because entries keyed to a version that is never
-	// published could collide with a later commit's use of the same number.
+	// work-share ratio). A cached entry is carried over as it is when the
+	// delta touched none of its candidate pairs and, for index-bounded
+	// engine entries, none of its can(uo) bound rows (just advanced into
+	// g2); every other entry is recomputed from the advanced state. Nothing
+	// is installed until the commit is past its last fallible step, because
+	// entries keyed to a version that is never published could collide with
+	// a later commit's use of the same number.
 	installWarm := m.advanceWarm(g2, merged)
 	// Durability is the last fallible step: once the sink acknowledges the
 	// deltas the swap below is unconditional, and if it refuses, nothing was
@@ -289,6 +295,7 @@ func (m *Matcher) CacheStats() CacheStats {
 		Coalesced:      s.Coalesced,
 		Evictions:      s.Evictions,
 		Advanced:       s.Advanced,
+		Carried:        s.Carried,
 		Seeded:         s.Seeded,
 		AdvanceEvicted: m.advanceEvicted.Load(),
 		Entries:        s.Entries,

@@ -43,8 +43,8 @@ func WithBatches(n int) Option {
 }
 
 // WithLooseBounds replaces the default cached label-count upper-bound index
-// by the cheapest overcounting variant (see the bounds ablation in
-// EXPERIMENTS.md).
+// by the cheapest overcounting variant (see the bounds ablation:
+// `go run ./cmd/experiments -figure ablation-bounds`).
 func WithLooseBounds() Option {
 	return func(o *options) { o.engine.Bounds = core.BoundCheap }
 }
